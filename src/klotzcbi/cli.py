@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -71,6 +72,8 @@ def _jsonable(obj):
 
 
 def _require_keys(obj: dict, path: str, allowed: dict[str, bool]) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioError(path, f"expected an object, got {obj!r}")
     for key in obj:
         if key not in allowed:
             raise ScenarioError(f"{path}.{key}", "unknown field")
@@ -79,22 +82,31 @@ def _require_keys(obj: dict, path: str, allowed: dict[str, bool]) -> None:
             raise ScenarioError(f"{path}.{key}", "missing required field")
 
 
-def _as_number(obj: dict, path: str, key: str, default=None):
-    if key not in obj:
-        return default
-    value = obj[key]
+def _number(value, path: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}", f"expected a number, got {value!r}")
+        raise ScenarioError(path, f"expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ScenarioError(path, f"expected a finite number, got {value!r}")
     return value
 
 
-def _as_int(obj: dict, path: str, key: str, default=None):
-    value = _as_number(obj, path, key, default)
-    if value is None:
-        return None
+def _as_number(obj: dict, path: str, key: str, default=None):
+    if key not in obj:
+        return default
+    return _number(obj[key], f"{path}.{key}")
+
+
+def _integer(value, path: str) -> int:
+    value = _number(value, path)
     if value != int(value):
-        raise ScenarioError(f"{path}.{key}", f"expected an integer, got {value!r}")
+        raise ScenarioError(path, f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _as_int(obj: dict, path: str, key: str, default=None):
+    if key not in obj:
+        return default
+    return _integer(obj[key], f"{path}.{key}")
 
 
 class Scenario:
@@ -208,6 +220,8 @@ class Scenario:
             axis = SweepAxis(doc["axis"])
         except ValueError:
             raise ScenarioError("sweep.axis", f"unknown axis {doc['axis']!r}") from None
+        if not isinstance(doc["methods"], list):
+            raise ScenarioError("sweep.methods", "expected a list")
         methods = []
         for i, name in enumerate(doc["methods"]):
             try:
@@ -217,6 +231,8 @@ class Scenario:
         values = doc["values"]
         if not isinstance(values, list):
             raise ScenarioError("sweep.values", "expected a list")
+        for i, value in enumerate(values):
+            _number(value, f"sweep.values[{i}]")
         try:
             return SweepSpec(
                 pk=self.pk,
@@ -225,7 +241,7 @@ class Scenario:
                 axis=axis,
                 values=tuple(values),
                 methods=tuple(methods),
-                beta_alpha=float(doc.get("beta_alpha", 0.03)),
+                beta_alpha=float(_as_number(doc, "sweep", "beta_alpha", 0.03)),
             )
         except ValidationError as exc:
             raise ScenarioError("sweep", str(exc)) from None
@@ -408,6 +424,10 @@ def cmd_verify(args) -> int:
             "resolution_bound": oracle.resolution_bound,
             "within_bound": ok,
             "grid": {"resolution": grid.resolution, "refine_rounds": grid.refine_rounds},
+            "oracle_cost": {
+                "grid_sizes": oracle.grid_sizes,
+                "likelihood_evals": oracle.likelihood_evals,
+            },
         }
     )
     _emit(payload, args.out)
@@ -472,17 +492,26 @@ def cmd_summarize(args) -> int:
         raise ScenarioError("$", f"cannot read {args.campaign}: {exc}")
     except json.JSONDecodeError as exc:
         raise ScenarioError("$", f"invalid JSON in {args.campaign}: {exc}")
+    if not isinstance(doc, dict):
+        raise ScenarioError("$", "campaign document must be a JSON object")
     for key in ("outcomes_rle", "ground_truth", "seed"):
         if key not in doc:
             raise ScenarioError(key, "missing required field")
+    if not isinstance(doc["outcomes_rle"], str):
+        raise ScenarioError("outcomes_rle", "expected a string")
     outcomes = _rle_decode(doc["outcomes_rle"])
     if not outcomes:
         raise ScenarioError("outcomes_rle", "empty campaign")
     gt = doc["ground_truth"]
+    if not isinstance(gt, dict):
+        raise ScenarioError("ground_truth", f"expected an object, got {gt!r}")
+    for key in ("x", "lambda"):
+        if key not in gt:
+            raise ScenarioError(f"ground_truth.{key}", "missing required field")
     trace = CampaignTrace(
         tuple(outcomes),
-        KlotzPoint(float(gt["x"]), float(gt["lambda"])),
-        int(doc["seed"]),
+        KlotzPoint(float(_number(gt["x"], "ground_truth.x")), float(_number(gt["lambda"], "ground_truth.lambda"))),
+        _integer(doc["seed"], "seed"),
         generator=doc.get("generator", GENERATOR_NAME),
     )
     obs = summarize(trace)

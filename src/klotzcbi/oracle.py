@@ -35,7 +35,6 @@ from .klotz import (
     ValidationError,
     log_likelihood,
     log_likelihood_many,
-    lower_envelope,
     transitions_from_summary,
 )
 from .priors import (
@@ -87,33 +86,118 @@ class GridCandidate:
     subset: str
 
 
+_LAMBDA_SIDES = {0: LambdaSide.EXACT, 1: LambdaSide.FROM_ABOVE, -1: LambdaSide.FROM_BELOW}
+
+
 @dataclass
 class _CellPool:
     xs: np.ndarray
     lams: np.ndarray
     x_right: np.ndarray  # bool: x-side FROM_RIGHT
-    lam_side: np.ndarray  # int: 0 exact, +1 from-above, -1 from-below
+    lam_side: np.ndarray  # int8: 0 exact, +1 from-above, -1 from-below
 
-    def extend(self, xs, lams, x_right, lam_side) -> None:
-        self.xs = np.concatenate([self.xs, np.asarray(xs, dtype=float)])
-        self.lams = np.concatenate([self.lams, np.asarray(lams, dtype=float)])
-        self.x_right = np.concatenate([self.x_right, np.asarray(x_right, dtype=bool)])
-        self.lam_side = np.concatenate([self.lam_side, np.asarray(lam_side, dtype=np.int8)])
+    @property
+    def size(self) -> int:
+        return self.xs.size
+
+
+def _join(pools: list[_CellPool]) -> _CellPool:
+    return _CellPool(
+        np.concatenate([p.xs for p in pools]),
+        np.concatenate([p.lams for p in pools]),
+        np.concatenate([p.x_right for p in pools]),
+        np.concatenate([p.lam_side for p in pools]),
+    )
+
+
+def _rows_pool(xs, lams, x_right, lam_side, keep) -> _CellPool:
+    """Flatten per-column candidate rows (row-major), keeping the masked slots.
+
+    ``xs`` has one entry per row; the other arrays broadcast to ``keep``.
+    """
+    shape = keep.shape
+    return _CellPool(
+        np.broadcast_to(xs[:, None], shape)[keep],
+        np.broadcast_to(lams, shape)[keep],
+        np.broadcast_to(x_right, shape)[keep],
+        np.broadcast_to(np.asarray(lam_side, dtype=np.int8), shape)[keep],
+    )
 
 
 def _dedupe_sorted(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.unique(np.clip(values, lo, hi))
 
 
-def _span_grid(lo: float, hi: float, k: int) -> np.ndarray:
-    """Linear coverage of [lo, hi] with geometric accents toward both ends."""
-    if hi <= lo:
-        return np.array([lo])
-    lin = np.linspace(lo, hi, k)
-    span = hi - lo
-    accents = np.geomspace(max(span * 1e-12, 1e-300), span, max(k // 3, 5))
-    vals = np.concatenate([lin, lo + accents, hi - accents])
-    return _dedupe_sorted(vals, lo, hi)
+def _rowwise(space, lo: np.ndarray, hi: np.ndarray, num: int, zero_step: np.ndarray) -> np.ndarray:
+    """``space(lo[i], hi[i], num)`` as row i, bit for bit with the scalar call.
+
+    Given array endpoints, numpy's linspace switches every row to its
+    zero-step formula as soon as one row has a zero step, which moves the
+    other rows by an ulp; rows with a zero step are therefore built apart.
+    """
+    out = np.empty((lo.size, num))
+    for rows in (zero_step, ~zero_step):
+        if rows.any():
+            out[rows] = space(lo[rows], hi[rows], num, axis=1)
+    return out
+
+
+def _linspace_rows(lo: np.ndarray, hi: np.ndarray, num: int) -> np.ndarray:
+    return _rowwise(np.linspace, lo, hi, num, (hi - lo) / (num - 1) == 0)
+
+
+def _span_rows(lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
+    """Raw span grid of [lo[i], hi[i]] per row, before clipping and dedupe.
+
+    Linear coverage with geometric accents toward both ends; a row with
+    hi <= lo is the single value lo, repeated to the common width.
+    """
+    n_acc = max(k // 3, 5)
+    out = np.repeat(lo[:, None], k + 2 * n_acc, axis=1)
+    live = hi > lo
+    if live.any():
+        lo, hi = lo[live], hi[live]
+        span = hi - lo
+        start = np.maximum(span * 1e-12, 1e-300)
+        log_step = (np.log10(span) - np.log10(start)) / (n_acc - 1)
+        accents = _rowwise(np.geomspace, start, span, n_acc, log_step == 0)
+        out[live] = np.hstack([_linspace_rows(lo, hi, k), lo[:, None] + accents, hi[:, None] - accents])
+    return out
+
+
+def _columns(xs, x_right, cls: int, lo, hi, raw, companion) -> _CellPool:
+    """Off-diagonal candidates of a batch of grid columns, row by row.
+
+    Row i holds the distinct values of ``raw[i]`` clipped to [lo[i], hi[i]]
+    that lie strictly on side ``cls`` of the diagonal (lam < x below,
+    lam > x above), increasing, then the limit companion (x, x) tagged
+    from that side where ``companion[i]``.
+    """
+    lams = np.sort(np.clip(raw, lo[:, None], hi[:, None]), axis=1)
+    keep = np.ones(lams.shape, dtype=bool)
+    keep[:, 1:] = lams[:, 1:] != lams[:, :-1]
+    keep &= lams < xs[:, None] if cls < 0 else lams > xs[:, None]
+    lam_side = np.zeros(lams.shape[1] + 1, dtype=np.int8)
+    lam_side[-1] = cls
+    return _rows_pool(
+        xs, np.hstack([lams, xs[:, None]]), x_right[:, None], lam_side,
+        np.hstack([keep, companion[:, None]]),
+    )
+
+
+def _envelope(xs: np.ndarray) -> np.ndarray:
+    """:func:`lower_envelope` over an array, with the same arithmetic."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(xs <= 0.5, 0.0, (2.0 * xs - 1.0) / xs)
+
+
+def _split_bound_columns(xs: np.ndarray, x_right: np.ndarray, twice: np.ndarray):
+    """Repeat the flagged columns, the copy tagged FROM_RIGHT: a point on the
+    claim bound needs both its numerator- and denominator-side versions."""
+    reps = 1 + twice
+    xs, x_right = np.repeat(xs, reps), np.repeat(x_right, reps)
+    x_right[np.cumsum(reps)[twice] - 1] = True
+    return xs, x_right
 
 
 def _x_grid_low(pk: PriorKnowledge, k: int) -> np.ndarray:
@@ -137,65 +221,33 @@ def _x_grid_high(pk: PriorKnowledge, b: float, k: int) -> np.ndarray:
     return _dedupe_sorted(np.concatenate(vals), eps, 1.0)
 
 
-def _empty_pool() -> _CellPool:
-    z = np.zeros(0)
-    return _CellPool(z, z.copy(), np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int8))
-
-
-def _add_column(
-    pool_below: _CellPool,
-    pool_on: _CellPool,
-    pool_above: _CellPool,
-    x: float,
-    lam_k: int,
-    x_right: bool,
-    pad: bool,
-) -> None:
-    env = lower_envelope(x)
-    if x > env:
-        lams = _span_grid(env, x, lam_k)
-        lams = lams[lams < x]
-        m = lams.size
-        pool_below.extend(np.full(m, x), lams, np.full(m, x_right), np.zeros(m, dtype=np.int8))
-    if pad and env <= x < 1.0:
-        # limit companion approached from below the diagonal
-        pool_below.extend([x], [x], [x_right], [-1])
-    if x >= env:
-        pool_on.extend([x], [x], [x_right], [0])
-    if x < 1.0:
-        lams = _span_grid(x, 1.0, lam_k)
-        lams = lams[lams > x]
-        m = lams.size
-        pool_above.extend(np.full(m, x), lams, np.full(m, x_right), np.zeros(m, dtype=np.int8))
-        if pad:
-            pool_above.extend([x], [x], [x_right], [+1])
-    elif x == 1.0:
-        # (1, 1): meaningful only for the all-failure chain, handled by logL
-        pool_on.extend([1.0], [1.0], [False], [0])
-
-
 def _base_pools(pk: PriorKnowledge, b: float, spec: GridSpec) -> dict[tuple[bool, int], _CellPool]:
     lam_k = max(spec.resolution // 3, 17)
-    pools = {cell: _empty_pool() for cell in _CELLS}
-
-    for x in _x_grid_low(pk, max(spec.resolution // 2, 11)):
-        _add_column(
-            pools[(False, -1)], pools[(False, 0)], pools[(False, +1)],
-            float(x), lam_k, x_right=False, pad=spec.side_padding,
+    pad = spec.side_padding
+    x_low = _x_grid_low(pk, max(spec.resolution // 2, 11))
+    x_high = _x_grid_high(pk, b, spec.resolution)
+    columns = {
+        False: (x_low, np.zeros(x_low.size, dtype=bool)),
+        # companions sitting just past the claim bound
+        True: _split_bound_columns(x_high, x_high == pk.epsilon, (x_high == b) & pad),
+    }
+    pools: dict[tuple[bool, int], _CellPool] = {}  # filled in _CELLS order
+    for gt_eps, (xs, x_right) in columns.items():
+        env = _envelope(xs)
+        ones = np.ones(xs.size)
+        pools[(gt_eps, -1)] = _columns(
+            xs, x_right, -1, env, xs, _span_rows(env, xs, lam_k),
+            # limit companion approached from below the diagonal
+            pad & (env <= xs) & (xs < 1.0),
         )
-    for x in _x_grid_high(pk, b, spec.resolution):
-        x = float(x)
-        x_right = x == pk.epsilon
-        _add_column(
-            pools[(True, -1)], pools[(True, 0)], pools[(True, +1)],
-            x, lam_k, x_right=x_right, pad=spec.side_padding,
+        # (1, 1): meaningful only for the all-failure chain, handled by logL
+        pools[(gt_eps, 0)] = _rows_pool(
+            xs, np.stack([xs, ones], axis=1), np.stack([x_right, np.zeros(xs.size, dtype=bool)], axis=1),
+            0, np.stack([xs >= env, xs == 1.0], axis=1),
         )
-        if x == b and spec.side_padding:
-            # companions sitting just past the claim bound
-            _add_column(
-                pools[(True, -1)], pools[(True, 0)], pools[(True, +1)],
-                x, lam_k, x_right=True, pad=True,
-            )
+        pools[(gt_eps, +1)] = _columns(
+            xs, x_right, +1, xs, ones, _span_rows(xs, ones, lam_k), pad & (xs < 1.0),
+        )
     return pools
 
 
@@ -214,6 +266,7 @@ def _refine_pools(
     # the gridded argmax
     lam_k = max(spec.resolution // 3, 17)
     k = max(spec.resolution // 2, 21)
+    added: dict[tuple[bool, int], list[_CellPool]] = {cell: [] for cell in _CELLS}
     for cell, x0, lam0 in focus:
         gt_eps, cls = cell
         x_lo = pk.epsilon if gt_eps else pk.p_l
@@ -226,59 +279,47 @@ def _refine_pools(
             ]
         )
         xs = _dedupe_sorted(xs, x_lo, x_hi)
-        pool = pools[cell]
-        for x in xs:
-            x = float(x)
-            env = lower_envelope(x)
-            # points landing exactly on the eps or b cut need their
-            # quantile/indicator side companion, like the base grid
-            if gt_eps and x == pk.epsilon:
-                sides = (True,)
-            elif x == b:
-                sides = (False, True)
-            else:
-                sides = (False,)
-            for x_right in sides:
-                if cls == 0:
-                    if x >= env:
-                        pool.extend([x], [x], [x_right], [0])
-                    continue
-                lo, hi = (env, x) if cls < 0 else (x, 1.0)
-                width = max(min(lam_step, hi - lo), 1e-300)
-                lams = np.concatenate(
-                    [
-                        np.linspace(max(lam0 - width, lo), min(lam0 + width, hi), lam_k),
-                        _span_grid(lo, hi, lam_k // 2),
-                    ]
-                )
-                lams = _dedupe_sorted(lams, lo, hi)
-                lams = lams[(lams < x)] if cls < 0 else lams[(lams > x)]
-                m = lams.size
-                if m:
-                    pool.extend(
-                        np.full(m, x), lams,
-                        np.full(m, x_right), np.zeros(m, dtype=np.int8),
-                    )
-                if x < 1.0 or cls < 0:
-                    pool.extend([x], [x], [x_right], [-1 if cls < 0 else +1])
+        # points landing exactly on the eps or b cut need their
+        # quantile/indicator side companion, like the base grid
+        on_eps = (xs == pk.epsilon) & gt_eps
+        xs, x_right = _split_bound_columns(xs, on_eps, (xs == b) & ~on_eps)
+        env = _envelope(xs)
+        if cls == 0:
+            added[cell].append(_rows_pool(xs, xs[:, None], x_right[:, None], 0, (xs >= env)[:, None]))
+            continue
+        lo, hi = (env, xs) if cls < 0 else (xs, np.ones(xs.size))
+        width = np.maximum(np.minimum(lam_step, hi - lo), 1e-300)
+        window = _linspace_rows(np.maximum(lam0 - width, lo), np.minimum(lam0 + width, hi), lam_k)
+        raw = np.hstack([window, _span_rows(lo, hi, lam_k // 2)])
+        added[cell].append(_columns(xs, x_right, cls, lo, hi, raw, (xs < 1.0) | (cls < 0)))
+    for cell, parts in added.items():
+        if parts:
+            pools[cell] = _join([pools[cell], *parts])
 
 
 def grid_candidates(pk: PriorKnowledge, b: float, spec: GridSpec | None = None) -> list[GridCandidate]:
     """Tagged candidate locations covering the region, labeled by constraint group."""
     spec = spec or GridSpec()
     pk.check_claim(b)
-    pools = _base_pools(pk, b, spec)
     out: list[GridCandidate] = []
-    for (gt_eps, cls), pool in pools.items():
-        for x, lam, xr, ls in zip(pool.xs, pool.lams, pool.x_right, pool.lam_side):
-            x_side = XSide.FROM_RIGHT if xr else XSide.EXACT
-            lam_side = {0: LambdaSide.EXACT, 1: LambdaSide.FROM_ABOVE, -1: LambdaSide.FROM_BELOW}[int(ls)]
-            if cls == 0:
-                subset = "diagonal"
+    for (gt_eps, cls), pool in _base_pools(pk, b, spec).items():
+        if cls == 0:
+            subsets = np.full(pool.size, "diagonal")
+        else:
+            side = "above" if cls > 0 else "below"
+            if gt_eps:
+                mid = (pool.xs < b) | ((pool.xs == b) & ~pool.x_right)
+                subsets = np.where(mid, f"{side}_mid", f"{side}_right")
             else:
-                band = "leq_eps" if not gt_eps else ("mid" if (x < b or (x == b and not xr)) else "right")
-                subset = f"{'above' if cls > 0 else 'below'}_{band}"
-            out.append(GridCandidate(KlotzPoint(float(x), float(lam)), x_side, lam_side, (gt_eps, cls), subset))
+                subsets = np.full(pool.size, f"{side}_leq_eps")
+        for x, lam, xr, ls, subset in zip(
+            pool.xs.tolist(), pool.lams.tolist(), pool.x_right.tolist(),
+            pool.lam_side.tolist(), subsets.tolist(),
+        ):
+            x_side = XSide.FROM_RIGHT if xr else XSide.EXACT
+            out.append(
+                GridCandidate(KlotzPoint(x, lam), x_side, _LAMBDA_SIDES[ls], (gt_eps, cls), subset)
+            )
     return out
 
 
@@ -291,6 +332,11 @@ class OracleResult:
     c_star: float
     round_values: list[float] = field(default_factory=list)
     degenerate: bool = False
+    #: candidates in the grid at each round's evaluation
+    grid_sizes: list[int] = field(default_factory=list)
+    #: points passed to :func:`log_likelihood_many`; each candidate is
+    #: evaluated once, so this equals the final grid size
+    likelihood_evals: int = 0
 
 
 @dataclass
@@ -402,13 +448,27 @@ def infimum(
     x_step = 1.0 / (spec.resolution - 1)
     lam_step = 1.0 / (max(spec.resolution // 3, 17) - 1)
 
+    # log-likelihoods persist across rounds: refinement only appends to a
+    # cell's pool, so each round evaluates just the candidates it added
+    log_ls = {cell: np.zeros(0) for cell in pools}
+    grid_sizes: list[int] = []
+    evals = 0
+
     for rnd in range(spec.refine_rounds + 1):
-        log_ls = {cell: log_likelihood_many(pool.xs, pool.lams, t) for cell, pool in pools.items()}
+        for cell, pool in pools.items():
+            done = log_ls[cell].size
+            fresh = log_likelihood_many(pool.xs[done:], pool.lams[done:], t)
+            log_ls[cell] = np.concatenate([log_ls[cell], fresh])
+            evals += fresh.size
+        grid_sizes.append(sum(pool.size for pool in pools.values()))
         finite = [arr[np.isfinite(arr)] for arr in log_ls.values()]
         finite = [a for a in finite if a.size]
         if not finite:
             prior = _witness_from(pools, {}, {}, fixed_pts)
-            return OracleResult(0.0, prior, _BISECT_TOL, 0.0, 0.0, [0.0], degenerate=True)
+            return OracleResult(
+                0.0, prior, _BISECT_TOL, 0.0, 0.0, [0.0], degenerate=True,
+                grid_sizes=grid_sizes, likelihood_evals=evals,
+            )
         scale = max(float(a.max()) for a in finite)
 
         fixed_num = 0.0
@@ -494,7 +554,10 @@ def infimum(
         bound = max(x_step, lam_step) + _BISECT_TOL + _GRID_FLOOR
     assert best_prior is not None and best_value is not None
     degenerate = posterior_confidence(best_prior, t, b).degenerate
-    return OracleResult(best_value, best_prior, bound, best_cert, best_c, round_values, degenerate)
+    return OracleResult(
+        best_value, best_prior, bound, best_cert, best_c, round_values, degenerate,
+        grid_sizes=grid_sizes, likelihood_evals=evals,
+    )
 
 
 def _witness_from(
@@ -511,9 +574,7 @@ def _witness_from(
         pool = pools[cell]
         x, lam = float(pool.xs[idx]), float(pool.lams[idx])
         x_side = XSide.FROM_RIGHT if pool.x_right[idx] else XSide.EXACT
-        lam_side = {0: LambdaSide.EXACT, 1: LambdaSide.FROM_ABOVE, -1: LambdaSide.FROM_BELOW}[
-            int(pool.lam_side[idx])
-        ]
+        lam_side = _LAMBDA_SIDES[int(pool.lam_side[idx])]
         support.append(SupportPoint(KlotzPoint(x, lam), m, x_side, lam_side))
     if not support:
         support = [SupportPoint(KlotzPoint(0.0, 0.0), 1.0)]

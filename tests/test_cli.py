@@ -268,3 +268,35 @@ class TestSimulateCommands:
         report = json.loads(capsys.readouterr().out)
         assert 0.0 <= report["confidence"] <= 1.0
         assert report["observation"] == obs
+
+
+def _sweep(**sweep):
+    return nuclear_scenario(sweep={"axis": "n", "values": [100], "methods": ["univariate"], **sweep})
+
+
+def _campaign(**changes):
+    doc = {"generator": "pcg64", "seed": 1, "ground_truth": {"x": 0.1, "lambda": 0.1},
+           "n": 3, "outcomes_rle": "S2F1"}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, path",
+    [
+        ("sweep", _sweep(values=["abc"]), "sweep.values[0]"),
+        ("sweep", _sweep(beta_alpha="q"), "sweep.beta_alpha"),
+        ("summarize", _campaign(ground_truth={"x": 0.1}), "ground_truth.lambda"),
+        ("summarize", _campaign(seed="x"), "seed"),
+        ("summarize", _campaign(outcomes_rle=17), "outcomes_rle"),
+        ("assess", nuclear_scenario(pk=[0.7]), "pk"),
+        ("assess", nuclear_scenario(claim={"b": float("inf")}), "claim.b"),
+    ],
+    ids=["sweep-value", "sweep-beta-alpha", "campaign-lambda", "campaign-seed",
+         "campaign-rle-type", "pk-not-object", "claim-infinite"],
+)
+def test_malformed_input_is_parse_error(tmp_path, capsys, command, doc, path):
+    flag = "--campaign" if command == "summarize" else "--scenario"
+    rc = main([command, flag, write_scenario(tmp_path, doc)])
+    assert rc == EXIT_PARSE
+    assert json.loads(capsys.readouterr().out)["error"]["path"] == path
